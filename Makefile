@@ -9,7 +9,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet bench bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke ci
+.PHONY: all build test race vet bench bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-compile ci
 
 all: build
 
@@ -144,4 +144,10 @@ scenario-smoke:
 	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -replay internal/scenario/testdata/msr_sample.csv -check
 	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -replay internal/scenario/testdata/tianchi_sample.csv -check -stream
 
-ci: vet race golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-gate
+# The benchmark driver (ebsbench/, its own module over this one) calls
+# internal APIs directly: vet and test it here, so an internal change that
+# breaks the benchmark fails CI instead of the benchmark pipeline.
+bench-compile:
+	cd ebsbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: vet race golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-compile bench-gate

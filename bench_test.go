@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 
@@ -619,7 +620,7 @@ func BenchmarkFabricDispatch(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := fabric.RunWorker(context.Background(), fabric.WorkerConfig{Dial: lb.Dial}); err != nil {
+				if err := fabric.RunWorker(context.Background(), fabric.WorkerConfig{Dials: []func() (net.Conn, error){lb.Dial}}); err != nil {
 					b.Error(err)
 				}
 			}()

@@ -463,7 +463,7 @@ func runWorkerRole(addr string) {
 		close(drain)
 	}()
 	err := fabric.RunWorker(context.Background(), fabric.WorkerConfig{
-		Dial:  func() (net.Conn, error) { return net.Dial("tcp", addr) },
+		Dials: []func() (net.Conn, error){func() (net.Conn, error) { return net.Dial("tcp", addr) }},
 		Drain: drain,
 	})
 	if err != nil {
@@ -531,10 +531,11 @@ func runCoordinator(ctx context.Context, cfg workload.Config, opts ebs.Options, 
 	return serveFabric(ctx, co, l)
 }
 
-// runDistVerified runs the whole fabric in-process: a coordinator over a
-// loopback transport plus n workers, then re-runs the simulation
-// single-process and fails unless the two dataset fingerprints are
-// identical — the distributed determinism oracle behind `make dist-smoke`.
+// runDistVerified runs the whole fabric in-process: a replica set of
+// coordinators over loopback transports plus n workers, then re-runs the
+// simulation single-process and fails unless the two dataset fingerprints
+// are identical — the distributed determinism oracle behind `make
+// dist-smoke`.
 // With replicas > 1 the control plane is a consensus-backed replica set, and
 // leaderKills > 0 additionally schedules chaos kills of the acting leader
 // mid-run — the fingerprint comparison must STILL hold, which is the
@@ -563,13 +564,7 @@ func runDistVerified(ctx context.Context, cfg workload.Config, opts ebs.Options,
 		distOpts.Chaos = &plan
 	}
 
-	var ds *trace.Dataset
-	var err error
-	if replicas > 1 {
-		ds, err = runReplicatedDist(ctx, cfg, distOpts, scenarioSpec, n, shards, replicas)
-	} else {
-		ds, err = runLoopbackDist(ctx, cfg, distOpts, scenarioSpec, n, shards)
-	}
+	ds, err := runReplicaSet(ctx, cfg, distOpts, scenarioSpec, n, shards, replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -610,42 +605,12 @@ func runDistVerified(ctx context.Context, cfg workload.Config, opts ebs.Options,
 	return ds, nil
 }
 
-// runLoopbackDist is the unreplicated in-process fabric: one coordinator,
-// n workers, one loopback.
-func runLoopbackDist(ctx context.Context, cfg workload.Config, opts ebs.Options, scenarioSpec string, n, shards int) (*trace.Dataset, error) {
-	co, err := fabric.NewCoordinator(fabric.Config{Fleet: cfg, Opts: opts, Scenario: scenarioSpec, Shards: shards})
-	if err != nil {
-		return nil, err
-	}
-	lb := fabric.NewLoopback()
-	defer lb.Close()
-	var wg sync.WaitGroup
-	workerErrs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			workerErrs[i] = fabric.RunWorker(ctx, fabric.WorkerConfig{Dial: lb.Dial})
-		}(i)
-	}
-	ds, err := serveFabric(ctx, co, lb)
-	if err != nil {
-		return nil, err
-	}
-	wg.Wait()
-	for i, werr := range workerErrs {
-		if werr != nil {
-			return nil, fmt.Errorf("fabric worker %d: %w", i, werr)
-		}
-	}
-	return ds, nil
-}
-
-// runReplicatedDist runs the in-process fabric over a consensus-backed
-// replica set: workers dial every replica and follow leader redirects, and
-// any leader kills in opts.Chaos fire mid-run. It reports the leadership
-// history so a kill's succession is visible in the smoke output.
-func runReplicatedDist(ctx context.Context, cfg workload.Config, opts ebs.Options, scenarioSpec string, n, shards, replicas int) (*trace.Dataset, error) {
+// runReplicaSet runs the in-process fabric over a replica set (one replica
+// is the unreplicated control plane; more are consensus-backed): workers
+// dial every replica and follow leader redirects, and any leader kills in
+// opts.Chaos fire mid-run. It reports the leadership history so a kill's
+// succession is visible in the smoke output.
+func runReplicaSet(ctx context.Context, cfg workload.Config, opts ebs.Options, scenarioSpec string, n, shards, replicas int) (*trace.Dataset, error) {
 	rs, err := fabric.NewReplicaSet(fabric.Config{Fleet: cfg, Opts: opts, Scenario: scenarioSpec, Shards: shards}, replicas)
 	if err != nil {
 		return nil, err

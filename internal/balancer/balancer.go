@@ -41,12 +41,9 @@ type Config struct {
 	// relocates the hotspot and ping-pongs forever. Algorithm 1 leaves this
 	// implicit; production balancers bound the bundle. Default 0.9.
 	ImprovementMargin float64
-	// Mode selects which traffic the balancer acts on.
+	// Mode selects which traffic the balancer acts on. WriteThenRead's read
+	// pass reuses the write pass's importer policy, fed with read history.
 	Mode Mode
-	// ReadPolicy, when non-nil, selects importers for the read-balancing
-	// pass of WriteThenRead; otherwise the write-pass policy is reused
-	// (fed with read history).
-	ReadPolicy ImporterPolicy
 	// PeriodSec is the simulated length of one balancing period in seconds,
 	// used only to stamp Migration.AtSec so the migration log can be joined
 	// against time-stamped logs (the control plane's decision log). Zero or
@@ -112,6 +109,24 @@ type Result struct {
 // (indexed [segment][period], as produced by workload.SegmentPeriodMatrix).
 // The starting placement is cloned; the caller's map is not mutated.
 func Run(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy ImporterPolicy, cfg Config) Result {
+	return RunWithFailures(seg2bs, segTraffic, policy, cfg, nil, FailoverGreedy, nil)
+}
+
+// DownFn reports whether a BlockServer is inside a crash window during a
+// balancing period (chaos.Schedule.DownFnPeriods adapts a fault schedule to
+// this shape).
+type DownFn func(period int, bs cluster.StorageNodeID) bool
+
+// RunWithFailures is Run under a crash schedule. At the start of each
+// period, every newly-crashed BlockServer is evacuated: its segments are
+// re-homed across the healthy survivors by the failover policy (recorded as
+// Failover migrations). While down, a BS is excluded from exporter scans and
+// importer selection — if the importer policy nominates a casualty, the
+// balancer falls back to the least-loaded healthy BS. A recovered BS rejoins
+// empty the following period and is re-admitted by normal importer
+// selection. A nil down means no BlockServer ever crashes: that is Run.
+func RunWithFailures(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy ImporterPolicy,
+	cfg Config, down DownFn, fpol FailoverPolicy, rng *rand.Rand) Result {
 	if len(segTraffic) != seg2bs.Len() {
 		panic(fmt.Sprintf("balancer: %d traffic rows for %d segments", len(segTraffic), seg2bs.Len()))
 	}
@@ -137,93 +152,23 @@ func Run(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy ImporterPolicy, c
 		bsHistW[b] = make([]float64, 0, nPeriods)
 		bsHistR[b] = make([]float64, 0, nPeriods)
 	}
-	readPolicy := cfg.ReadPolicy
-	if readPolicy == nil {
-		readPolicy = policy
-	}
 
+	// isDown stays nil without a crash schedule: balancePass then skips
+	// every casualty check.
+	var wasDown, isDown []bool
+	if down != nil {
+		wasDown = make([]bool, nBS)
+		isDown = make([]bool, nBS)
+	}
 	for p := 0; p < nPeriods; p++ {
-		// Measure this period under the current placement.
-		bsW := make([]float64, nBS)
-		bsR := make([]float64, nBS)
-		for seg, rows := range segTraffic {
-			b := placement.BSOf(cluster.SegmentID(seg))
-			bsW[b] += rows[p].W
-			bsR[b] += rows[p].R
-		}
-		res.WriteCoV = append(res.WriteCoV, stats.NormCoV(bsW))
-		res.ReadCoV = append(res.ReadCoV, stats.NormCoV(bsR))
-		for b := 0; b < nBS; b++ {
-			bsHistW[b] = append(bsHistW[b], bsW[b])
-			bsHistR[b] = append(bsHistR[b], bsR[b])
-		}
-
-		// Write-balancing pass (Algorithm 1).
-		res.Migrations = append(res.Migrations,
-			balancePass(placement, segTraffic, p, bsW, bsHistW, policy, cfg, false, nil)...)
-		if cfg.Mode == WriteThenRead {
-			res.Migrations = append(res.Migrations,
-				balancePass(placement, segTraffic, p, bsR, bsHistR, readPolicy, cfg, true, nil)...)
-		}
-	}
-	return res
-}
-
-// DownFn reports whether a BlockServer is inside a crash window during a
-// balancing period (chaos.Schedule.DownFnPeriods adapts a fault schedule to
-// this shape).
-type DownFn func(period int, bs cluster.StorageNodeID) bool
-
-// RunWithFailures is Run under a crash schedule. At the start of each
-// period, every newly-crashed BlockServer is evacuated: its segments are
-// re-homed across the healthy survivors by the failover policy (recorded as
-// Failover migrations). While down, a BS is excluded from exporter scans and
-// importer selection — if the importer policy nominates a casualty, the
-// balancer falls back to the least-loaded healthy BS. A recovered BS rejoins
-// empty the following period and is re-admitted by normal importer
-// selection. A nil down delegates to Run.
-func RunWithFailures(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy ImporterPolicy,
-	cfg Config, down DownFn, fpol FailoverPolicy, rng *rand.Rand) Result {
-	if down == nil {
-		return Run(seg2bs, segTraffic, policy, cfg)
-	}
-	if len(segTraffic) != seg2bs.Len() {
-		panic(fmt.Sprintf("balancer: %d traffic rows for %d segments", len(segTraffic), seg2bs.Len()))
-	}
-	if cfg.ExporterThreshold <= 1 {
-		cfg.ExporterThreshold = 1.2
-	}
-	if cfg.MigrateFraction <= 0 {
-		cfg.MigrateFraction = 0.2
-	}
-	placement := seg2bs.Clone()
-	nBS := placement.NumBS()
-	var nPeriods int
-	if len(segTraffic) > 0 {
-		nPeriods = len(segTraffic[0])
-	}
-	res := Result{Policy: policy.Name(), Mode: cfg.Mode}
-
-	bsHistW := make([][]float64, nBS)
-	bsHistR := make([][]float64, nBS)
-	for b := 0; b < nBS; b++ {
-		bsHistW[b] = make([]float64, 0, nPeriods)
-		bsHistR[b] = make([]float64, 0, nPeriods)
-	}
-	readPolicy := cfg.ReadPolicy
-	if readPolicy == nil {
-		readPolicy = policy
-	}
-
-	wasDown := make([]bool, nBS)
-	isDown := make([]bool, nBS)
-	for p := 0; p < nPeriods; p++ {
-		for b := 0; b < nBS; b++ {
-			isDown[b] = down(p, cluster.StorageNodeID(b))
+		if down != nil {
+			for b := 0; b < nBS; b++ {
+				isDown[b] = down(p, cluster.StorageNodeID(b))
+			}
 		}
 		// Evacuate newly-crashed BSs before measuring: their segments are
 		// unreachable and must be re-homed on the healthy survivors.
-		for b := 0; b < nBS; b++ {
+		for b := 0; b < len(isDown); b++ {
 			if !isDown[b] || wasDown[b] {
 				continue
 			}
@@ -257,11 +202,12 @@ func RunWithFailures(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy Impor
 			bsHistR[b] = append(bsHistR[b], bsR[b])
 		}
 
+		// Write-balancing pass (Algorithm 1), then the optional read pass.
 		res.Migrations = append(res.Migrations,
 			balancePass(placement, segTraffic, p, bsW, bsHistW, policy, cfg, false, isDown)...)
 		if cfg.Mode == WriteThenRead {
 			res.Migrations = append(res.Migrations,
-				balancePass(placement, segTraffic, p, bsR, bsHistR, readPolicy, cfg, true, isDown)...)
+				balancePass(placement, segTraffic, p, bsR, bsHistR, policy, cfg, true, isDown)...)
 		}
 		copy(wasDown, isDown)
 	}

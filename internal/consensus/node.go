@@ -64,48 +64,24 @@ type Config struct {
 	// election. The fabric always bootstraps replica 0 so a run can begin
 	// dispatching immediately. Set to None for a cold start.
 	BootstrapLeader int
-	// ElectionTicks is the base follower timeout before campaigning.
-	// The effective timeout is ElectionTicks + jitter + ID*StaggerTicks.
-	// Default 20.
-	ElectionTicks int
-	// ElectionJitterTicks bounds the seeded random addition to the
-	// election timeout (jitter is drawn uniformly from [0,
-	// ElectionJitterTicks)). Default 10.
-	ElectionJitterTicks int
-	// StaggerTicks spreads replica timeouts by ID so that after a leader
-	// dies, the lowest live ID reliably campaigns first and wins before
-	// the next one times out. Keeping StaggerTicks > ElectionJitterTicks
-	// makes the succession order deterministic, which the golden
-	// leadership-transition fixtures rely on. Default 15.
-	StaggerTicks int
-	// HeartbeatTicks is the leader's append/heartbeat broadcast period.
-	// Default 2.
-	HeartbeatTicks int
 	// Seed feeds the per-node jitter RNG; the same seed reproduces the
 	// same election timing.
 	Seed int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Peers <= 0 {
-		c.Peers = 1
-	}
-	if c.ElectionTicks <= 0 {
-		c.ElectionTicks = 20
-	}
-	if c.ElectionJitterTicks <= 0 {
-		c.ElectionJitterTicks = 10
-	}
-	if c.StaggerTicks < 0 {
-		c.StaggerTicks = 0
-	} else if c.StaggerTicks == 0 {
-		c.StaggerTicks = 15
-	}
-	if c.HeartbeatTicks <= 0 {
-		c.HeartbeatTicks = 2
-	}
-	return c
-}
+// Timing, in ticks. A follower's election timeout is electionTicks +
+// jitter in [0, electionJitterTicks) + ID*staggerTicks. The stagger spreads
+// replica timeouts by ID so that after a leader dies, the lowest live ID
+// reliably campaigns first and wins before the next one times out; keeping
+// staggerTicks > electionJitterTicks makes the succession order
+// deterministic, which the golden leadership-transition fixtures rely on.
+const (
+	electionTicks       = 20
+	electionJitterTicks = 10
+	staggerTicks        = 15
+	// heartbeatTicks is the leader's append/heartbeat broadcast period.
+	heartbeatTicks = 2
+)
 
 // Node is one consensus participant. It is not safe for concurrent use;
 // Runner serializes access.
@@ -140,7 +116,9 @@ type Node struct {
 // its no-op immediately); messages the bootstrap leader would send are
 // deferred to its first heartbeat tick.
 func NewNode(cfg Config) *Node {
-	cfg = cfg.withDefaults()
+	if cfg.Peers <= 0 {
+		cfg.Peers = 1
+	}
 	n := &Node{
 		cfg:      cfg,
 		votedFor: None,
@@ -180,7 +158,7 @@ func (n *Node) termAt(index uint64) uint64 {
 }
 
 func (n *Node) resetTimeout() {
-	n.timeout = n.cfg.ElectionTicks + n.rng.Intn(n.cfg.ElectionJitterTicks) + n.cfg.ID*n.cfg.StaggerTicks
+	n.timeout = electionTicks + n.rng.Intn(electionJitterTicks) + n.cfg.ID*staggerTicks
 }
 
 // Tick advances the node's logical clock by one beat and returns any
@@ -189,7 +167,7 @@ func (n *Node) resetTimeout() {
 func (n *Node) Tick() []Message {
 	n.elapsed++
 	if n.state == Leader {
-		if n.elapsed >= n.cfg.HeartbeatTicks {
+		if n.elapsed >= heartbeatTicks {
 			n.elapsed = 0
 			return n.broadcastAppend()
 		}

@@ -58,9 +58,10 @@ type RunnerConfig struct {
 	Node      *Node
 	FSM       Applier
 	Transport Transport // may be nil for a single-node group
-	// TickEvery is the real-time interval behind Node.Tick. <= 0 disables
-	// the internal ticker (tests drive Tick manually; single-node groups
-	// need no ticks at all).
+	// TickEvery is the real-time interval behind Node.Tick. <= 0 leaves
+	// the internal ticker off (tests drive Tick manually; single-node
+	// groups need no ticks at all; a driver still wiring its peers calls
+	// Start once they can receive).
 	TickEvery time.Duration
 	// OnBecomeLeader fires (outside the lock) when this node wins an
 	// election or bootstraps as leader; the fabric records the
@@ -115,10 +116,16 @@ func NewRunner(cfg RunnerConfig) *Runner {
 	r.mu.Unlock()
 	runDeferred(notify)
 	if cfg.TickEvery > 0 {
-		r.tickWG.Add(1)
-		go r.tickLoop(cfg.TickEvery)
+		r.Start(cfg.TickEvery)
 	}
 	return r
+}
+
+// Start launches the ticker goroutine that calls Tick every interval. Call
+// it at most once, and only on a runner built with TickEvery <= 0.
+func (r *Runner) Start(every time.Duration) {
+	r.tickWG.Add(1)
+	go r.tickLoop(every)
 }
 
 // Stop shuts the runner down: the ticker exits, every parked proposer

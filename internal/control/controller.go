@@ -11,55 +11,27 @@ import (
 	"ebslab/internal/throttle"
 )
 
-// Config tunes the controller's actuation machinery. The thresholds mirror
-// the offline balancer's (Algorithm 1) so a controlled run is comparable to
-// the §6 experiments; the lending and rebind knobs are the online analogues
-// of §5 and §4.
+// Config tunes the controller.
 type Config struct {
 	// EpochSec is the decision cadence (also the observation epoch).
 	EpochSec int
-	// ExporterThreshold is the multiple of the mean forecast BS load at
-	// which a BS becomes a migration exporter (default 1.2).
-	ExporterThreshold float64
-	// MigrateFraction is the share of mean load each exporter sheds per
-	// epoch (default 0.2).
-	MigrateFraction float64
-	// ImprovementMargin gates movability exactly as in the balancer: a
-	// segment moves only if the coldest BS plus the segment stays below
-	// ImprovementMargin x the exporter's forecast (default 0.9).
-	ImprovementMargin float64
-	// LendRate caps how much of a VD's forecast cap headroom its VM
-	// siblings may borrow (default 0.5).
-	LendRate float64
-	// RebindTrigger is the max/mean ratio of forecast per-WT load on a node
-	// above which the hottest QP is rebound to the coldest WT (default 1.5).
-	RebindTrigger float64
-	// MigrationPenaltyUS is the backend-network latency surcharge IOs pay
-	// on a segment during its landing epoch (default 150).
-	MigrationPenaltyUS float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.ExporterThreshold <= 1 {
-		c.ExporterThreshold = 1.2
-	}
-	if c.MigrateFraction <= 0 {
-		c.MigrateFraction = 0.2
-	}
-	if c.ImprovementMargin <= 0 || c.ImprovementMargin >= 1 {
-		c.ImprovementMargin = 0.9
-	}
-	if c.LendRate <= 0 || c.LendRate > 1 {
-		c.LendRate = 0.5
-	}
-	if c.RebindTrigger <= 1 {
-		c.RebindTrigger = 1.5
-	}
-	if c.MigrationPenaltyUS <= 0 {
-		c.MigrationPenaltyUS = 150
-	}
-	return c
-}
+// Actuation constants. The migration thresholds are Algorithm 1's, read
+// from balancer.DefaultConfig so a controlled run is comparable to the §6
+// experiments; the lending and rebind knobs are the online analogues of §5
+// and §4.
+const (
+	// lendRate caps how much of a VD's forecast cap headroom its VM
+	// siblings may borrow.
+	lendRate = 0.5
+	// rebindTrigger is the max/mean ratio of forecast per-WT load on a node
+	// above which the hottest QP is rebound to the coldest WT.
+	rebindTrigger = 1.5
+	// migrationPenaltyUS is the backend-network latency surcharge IOs pay
+	// on a segment during its landing epoch.
+	migrationPenaltyUS = 150
+)
 
 // Input is the fleet context the controller plans against. Everything is a
 // pure function of the topology and the observe pass — no scheduling state —
@@ -212,7 +184,7 @@ func BuildPlan(pol Policy, cfg Config, in Input) (*Plan, error) {
 	}
 	sh := in.Obs.Shape
 	cfg.EpochSec = sh.EpochSec
-	cfg = cfg.withDefaults()
+	alg1 := balancer.DefaultConfig()
 
 	nEpochs := sh.Epochs()
 	nBS := in.Placement.NumBS()
@@ -229,7 +201,7 @@ func BuildPlan(pol Policy, cfg Config, in Input) (*Plan, error) {
 		Timeline: NewTimeline(sh.EpochSec, sh.DurSec),
 		BSLoad:   make([][]float64, 0, nEpochs),
 	}
-	plan.Timeline.PenaltyUS = cfg.MigrationPenaltyUS
+	plan.Timeline.PenaltyUS = migrationPenaltyUS
 	_, noop := pol.(NoOp)
 
 	// Rolling histories, one slice per entity, appended as epochs replay.
@@ -340,7 +312,7 @@ func BuildPlan(pol Policy, cfg Config, in Input) (*Plan, error) {
 		mean /= float64(nBS)
 		if mean > 0 {
 			for b := 0; b < nBS; b++ {
-				if down(b) || fBS[b] <= cfg.ExporterThreshold*mean {
+				if down(b) || fBS[b] <= alg1.ExporterThreshold*mean {
 					continue
 				}
 				exporterForecast := fBS[b]
@@ -350,7 +322,7 @@ func BuildPlan(pol Policy, cfg Config, in Input) (*Plan, error) {
 						minLoad = fBS[o]
 					}
 				}
-				budget := cfg.MigrateFraction * mean
+				budget := alg1.MigrateFraction * mean
 				moved := 0.0
 				for _, seg := range hotSegments(live, fSeg, cluster.StorageNodeID(b)) {
 					if moved >= budget {
@@ -362,7 +334,7 @@ func BuildPlan(pol Policy, cfg Config, in Input) (*Plan, error) {
 					}
 					// Movability: landing on the coldest BS must genuinely
 					// improve on the exporter, or the hotspot just relocates.
-					if minLoad+v > cfg.ImprovementMargin*exporterForecast {
+					if minLoad+v > alg1.ImprovementMargin*exporterForecast {
 						continue
 					}
 					dst := coldestBS(fBS, down, b)
@@ -384,11 +356,11 @@ func BuildPlan(pol Policy, cfg Config, in Input) (*Plan, error) {
 
 		// 3. Throttle lending inside each VM: siblings with forecast
 		// headroom lend a bounded slice of it to siblings forecast over cap.
-		planLending(plan, in, sh, fc, vdBHist, vdIHist, target, cfg)
+		planLending(plan, in, sh, fc, vdBHist, vdIHist, target)
 
 		// 4. QP rebinding: on nodes whose forecast WT load is lopsided,
 		// move the hottest QP of the hottest WT to the coldest WT.
-		binding = planRebinds(plan, in, sh, fc, wtHist, segQPOps(in, sh, e), binding, wtCount, target, cfg)
+		binding = planRebinds(plan, in, sh, fc, wtHist, segQPOps(in, sh, e), binding, wtCount, target)
 	}
 	return plan, nil
 }
@@ -495,7 +467,7 @@ func hotSegments(live *cluster.SegmentMap, segLoad []float64, bs cluster.Storage
 
 // planLending emits per-VM lending grants for the target epoch.
 func planLending(plan *Plan, in Input, sh ObsShape, fc func(SeriesKind, int, []float64) float64,
-	vdBHist, vdIHist [][]float64, target int, cfg Config) {
+	vdBHist, vdIHist [][]float64, target int) {
 	// Group VDs by VM, VM order ascending, VDs ascending within a group.
 	maxVM := -1
 	for _, vm := range in.VMOfVD {
@@ -526,7 +498,7 @@ func planLending(plan *Plan, in Input, sh ObsShape, fc func(SeriesKind, int, []f
 				}
 				return fc(SeriesVDIOPS, vd, vdIHist[vd])
 			}
-			deltas := lendWithin(group, cap_, forecast, cfg.LendRate)
+			deltas := lendWithin(group, cap_, forecast)
 			if dim == 0 {
 				dT = deltas
 			} else {
@@ -551,7 +523,7 @@ func planLending(plan *Plan, in Input, sh ObsShape, fc func(SeriesKind, int, []f
 // lendWithin computes one dimension's grant deltas for a VM group: greedy,
 // deterministic (ascending VD order on both sides), and exactly conserving —
 // every borrowed unit is debited from a sibling's headroom.
-func lendWithin(group []int, cap_, forecast func(int) float64, lendRate float64) map[int]float64 {
+func lendWithin(group []int, cap_, forecast func(int) float64) map[int]float64 {
 	deltas := make(map[int]float64)
 	for _, borrower := range group {
 		c := cap_(borrower)
@@ -586,7 +558,7 @@ func lendWithin(group []int, cap_, forecast func(int) float64, lendRate float64)
 // planRebinds emits at most one QP rebind per node for the target epoch and
 // returns the (possibly replaced) binding row.
 func planRebinds(plan *Plan, in Input, sh ObsShape, fc func(SeriesKind, int, []float64) float64,
-	wtHist [][]float64, qpOps []float64, binding []int8, wtCount []int, target int, cfg Config) []int8 {
+	wtHist [][]float64, qpOps []float64, binding []int8, wtCount []int, target int) []int8 {
 	mutated := false
 	for n := range sh.WTBase {
 		c := wtCount[n]
@@ -613,7 +585,7 @@ func planRebinds(plan *Plan, in Input, sh ObsShape, fc func(SeriesKind, int, []f
 				cold = w
 			}
 		}
-		if hot == cold || fW[hot]/mean <= cfg.RebindTrigger {
+		if hot == cold || fW[hot]/mean <= rebindTrigger {
 			continue
 		}
 		// Hottest QP currently bound to the hot WT on this node.

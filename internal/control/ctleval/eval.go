@@ -28,7 +28,7 @@ type Spec struct {
 	// Opts are the run options shared by every policy (Chaos may be set
 	// here; Control/Observe must be left nil — the harness owns them).
 	Opts ebs.Options
-	// Control tunes the controller; zero fields take control.Config defaults.
+	// Control tunes the controller (a zero EpochSec takes RunControlled's default).
 	Control control.Config
 	// Scenario, when non-empty, reshapes the fleet's traffic with a
 	// scenario-library spec string ("elastic,step=10", ...) before every

@@ -147,7 +147,6 @@ func (s *Sim) Run(ctx context.Context, opts Options) (*trace.Dataset, error) {
 	if err := s.checkScenarioOptions(&opts); err != nil {
 		return nil, err
 	}
-	table := s.tableFor(opts)
 	nVDs := s.runVDs(opts)
 
 	workers := par.Workers(opts.Workers)
@@ -174,7 +173,7 @@ func (s *Sim) Run(ctx context.Context, opts Options) (*trace.Dataset, error) {
 		progressM sync.Mutex
 	)
 	err = par.ForEachWorker(ctx, nVDs, workers, func(worker, vdIdx int) error {
-		if err := s.simulateVD(shards[worker], vdIdx, &opts, table, emission, sched); err != nil {
+		if err := s.simulateVD(shards[worker], vdIdx, &opts, emission, sched); err != nil {
 			return err
 		}
 		if opts.Progress != nil {
@@ -393,7 +392,7 @@ func (e *vdEmitter) emit(ev workload.Event) {
 // RNG stream. Under a chaos schedule, storm windows boost the disk's
 // offered demand (throttle and generator alike) and crash windows tax IOs
 // bound for the dead BlockServer.
-func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, table *latency.Table, emission *invariant.Emission, sched *chaos.Schedule) error {
+func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, emission *invariant.Emission, sched *chaos.Schedule) error {
 	top := s.fleet.Topology
 	vdID := cluster.VDID(vdIdx)
 	vd := &top.VDs[vdIdx]
@@ -438,53 +437,34 @@ func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, table *latency.Tab
 		}
 		sh.caps[0] = throttle.Caps{Tput: vd.ThroughputCap, IOPS: vd.IOPSCap}
 		sh.group[0] = sh.demand
-		// A VD carrying control-plane lending deltas replays against the
-		// scheduled per-epoch caps; every other VD takes the plain path, so
-		// the arithmetic (and the dataset) is untouched for them. Scheduled
-		// caps compose from up to two sources, in order: a scenario
-		// CapScheduler rewrites the second's base caps, then the control
-		// plane's lending deltas apply on top.
+		// A VD carrying control-plane lending deltas or a scenario cap
+		// schedule replays against scheduled caps; every other VD takes the
+		// plain path, so the arithmetic (and the dataset) is untouched for
+		// them. Scheduled caps compose in order: a scenario CapScheduler
+		// rewrites the second's base caps, then the control plane's lending
+		// deltas apply on top.
 		var capsAt func(t int, eff []throttle.Caps)
 		capSch, _ := sc.(scenario.CapScheduler)
 		var lend func(t int, eff []throttle.Caps)
 		if opts.Control != nil && opts.Control.VDLends(vdIdx) {
 			lend = lendCapsAt(opts.Control, vdIdx)
 		}
-		switch {
-		case capSch != nil && lend != nil:
+		if capSch != nil || lend != nil {
 			base := sh.caps[0]
 			capsAt = func(t int, eff []throttle.Caps) {
-				eff[0] = capSch.CapsAt(vdID, base, t)
-				lend(t, eff)
+				if capSch != nil {
+					eff[0] = capSch.CapsAt(vdID, base, t)
+				}
+				if lend != nil {
+					lend(t, eff)
+				}
 			}
-		case capSch != nil:
-			base := sh.caps[0]
-			capsAt = func(t int, eff []throttle.Caps) {
-				eff[0] = capSch.CapsAt(vdID, base, t)
-			}
-		case lend != nil:
-			capsAt = lend
 		}
-		switch {
-		case opts.Check && capsAt != nil:
-			res, msgs := throttle.SimulateScheduledAudited(sh.caps[:], sh.group[:], capsAt)
-			for _, m := range msgs {
-				sh.audit = append(sh.audit, fmt.Sprintf("VD %d: %s", vdID, m))
-			}
-			queueDelay = res.QueueDelaySec[0]
-		case opts.Check:
-			res, msgs := throttle.SimulateAudited(sh.caps[:], sh.group[:])
-			for _, m := range msgs {
-				sh.audit = append(sh.audit, fmt.Sprintf("VD %d: %s", vdID, m))
-			}
-			queueDelay = res.QueueDelaySec[0]
-		case capsAt != nil:
-			res := sh.th.SimulateScheduled(sh.caps[:], sh.group[:], capsAt)
-			queueDelay = res.QueueDelaySec[0]
-		default:
-			res := sh.th.Simulate(sh.caps[:], sh.group[:])
-			queueDelay = res.QueueDelaySec[0]
+		res, msgs := sh.th.Simulate(sh.caps[:], sh.group[:], capsAt, opts.Check)
+		for _, m := range msgs {
+			sh.audit = append(sh.audit, fmt.Sprintf("VD %d: %s", vdID, m))
 		}
+		queueDelay = res.QueueDelaySec[0]
 	}
 
 	// A scenario delay model turns the demand series into a per-second
@@ -508,7 +488,7 @@ func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, table *latency.Tab
 		top:        top,
 		seg2bs:     s.fleet.Seg2BS,
 		wtOf:       s.wtOf,
-		table:      table,
+		table:      s.table,
 		rng:        rng,
 		emission:   emission,
 		sched:      sched,

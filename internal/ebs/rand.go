@@ -1,32 +1,15 @@
 package ebs
 
 import (
-	"math/rand"
-
 	"ebslab/internal/cluster"
+	"ebslab/internal/xrand"
 )
 
 // latencySeed derives the latency-sampling seed of one virtual disk from
 // the base seed (the fleet seed, or the Options.Seed override). Each disk
 // gets its own child stream keyed by (seed, VD), so latency draws are a
 // pure function of the disk — independent of simulation order, shard
-// assignment, and worker count. The engine feeds this seed to the pooled
-// xrand source; newLatencyRand remains as the plain constructor.
+// assignment, and worker count.
 func latencySeed(seed int64, vd cluster.VDID) int64 {
-	base := uint64(seed) ^ 0x1a7e9c
-	return int64(splitmix64(base ^ (uint64(vd)+1)*0x9e3779b97f4a7c15))
-}
-
-// newLatencyRand builds the per-disk latency stream as a fresh *rand.Rand.
-func newLatencyRand(seed int64, vd cluster.VDID) *rand.Rand {
-	return rand.New(rand.NewSource(latencySeed(seed, vd)))
-}
-
-// splitmix64 is the finalizer of the splitmix64 generator; it decorrelates
-// the per-VD seeds even for adjacent VD IDs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return int64(xrand.Mix(uint64(seed) ^ 0x1a7e9c ^ (uint64(vd)+1)*0x9e3779b97f4a7c15))
 }

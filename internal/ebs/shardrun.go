@@ -115,7 +115,6 @@ func (s *Sim) RunShard(ctx context.Context, opts Options, lo, hi int) (*ShardPar
 	if lo < 0 || hi > nVDs || lo >= hi {
 		return nil, fmt.Errorf("ebs: shard [%d,%d) outside run range [0,%d)", lo, hi, nVDs)
 	}
-	table := s.tableFor(opts)
 
 	n := hi - lo
 	workers := par.Workers(opts.Workers)
@@ -133,7 +132,7 @@ func (s *Sim) RunShard(ctx context.Context, opts Options, lo, hi int) (*ShardPar
 	}
 	sched := s.expandChaos(opts)
 	err = par.ForEachWorker(ctx, n, workers, func(worker, i int) error {
-		return s.simulateVD(shards[worker], lo+i, &opts, table, emission, sched)
+		return s.simulateVD(shards[worker], lo+i, &opts, emission, sched)
 	})
 	if err != nil {
 		releaseShards(shards)

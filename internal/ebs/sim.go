@@ -112,8 +112,6 @@ type Options struct {
 	// whose measured latencies cannot be re-derived) Control/Observe. See
 	// DESIGN.md, "Scenario library & trace replay".
 	Scenario scenario.Workload
-	// Latency overrides the latency model (default latency.Default()).
-	Latency *latency.Model
 	// Seed overrides the base seed of the per-VD latency sampling streams
 	// (default: fleet seed).
 	Seed int64
@@ -186,9 +184,8 @@ func (o Options) Validate() error {
 type Sim struct {
 	fleet    *workload.Fleet
 	bindings []*hypervisor.Binding // per compute node
-	model    *latency.Model
-	table    *latency.Table // model, compiled
-	wtOf     []int8         // QP -> hypervisor worker thread, dense by QPID
+	table    *latency.Table        // latency.Default(), compiled
+	wtOf     []int8                // QP -> hypervisor worker thread, dense by QPID
 
 	specOnce sync.Once
 	vdSpecs  []trace.VDSpec
@@ -198,11 +195,10 @@ type Sim struct {
 // New builds a simulator over the fleet with production (round-robin)
 // QP-to-WT bindings.
 func New(f *workload.Fleet) *Sim {
-	s := &Sim{fleet: f, model: latency.Default()}
+	s := &Sim{fleet: f, table: latency.Default().Compile()}
 	for n := range f.Topology.Nodes {
 		s.bindings = append(s.bindings, hypervisor.RoundRobin(f.Topology, cluster.NodeID(n)))
 	}
-	s.table = s.model.Compile()
 	// QP IDs are dense indices (Topology.Validate pins IDs == positions), so
 	// the per-IO worker-thread attribution is a slice lookup.
 	s.wtOf = make([]int8, len(f.Topology.QPs))
@@ -212,16 +208,6 @@ func New(f *workload.Fleet) *Sim {
 		}
 	}
 	return s
-}
-
-// tableFor returns the compiled latency table of one run: the precompiled
-// default, or a fresh compile of the run's override (compilation is a few
-// hundred nanoseconds; overrides don't merit a cache).
-func (s *Sim) tableFor(opts Options) *latency.Table {
-	if opts.Latency != nil {
-		return opts.Latency.Compile()
-	}
-	return s.table
 }
 
 // specs lazily builds the dataset's VD/VM spec tables. The tables are pure

@@ -35,7 +35,7 @@ type Config struct {
 	Fleet workload.Config
 	// Opts are the run options. Coordinator-side destinations (Stream,
 	// ChaosStats) are honored: the merged run fills them exactly like
-	// ebs.Sim.Run would. Progress and Latency do not cross the wire.
+	// ebs.Sim.Run would. Progress does not cross the wire.
 	Opts ebs.Options
 	// Scenario optionally names a scenario spec ("bufferbloat,period=16")
 	// every worker binds to its regenerated fleet. The coordinator never
@@ -56,12 +56,6 @@ type Config struct {
 	// once the shard has been out that long (default 30s; straggler
 	// mitigation). At-most-once accounting keeps duplicate results safe.
 	SpeculateAfter time.Duration
-	// AssignHold is how long an AssignShard request with nothing placeable is
-	// held server-side waiting for availability to change (a result landing,
-	// a shard requeuing) before the worker is told to back off and retry
-	// (default 50ms). Event-driven wakeup keeps an idle worker from sleeping
-	// a full WaitPoll after the run's last result arrives.
-	AssignHold time.Duration
 
 	// ReplicaID is this coordinator's identity in the replica set, in
 	// [0, Replicas). Replica 0 bootstraps as the initial leader.
@@ -79,9 +73,6 @@ type Config struct {
 	// TickEvery is the consensus logical-clock interval (default 5ms when
 	// Replicas > 1). Election and heartbeat spans are multiples of it.
 	TickEvery time.Duration
-	// ProposeTimeout bounds how long a control-plane request waits for its
-	// ledger command to commit (default 10s; typically: no quorum).
-	ProposeTimeout time.Duration
 
 	// now overrides the clock in tests. The leader stamps proposals with it;
 	// replicas never read a clock of their own.
@@ -92,6 +83,18 @@ type Config struct {
 	// the replica set's chaos leader-kill trigger hangs here.
 	onApplied func(kind uint8, reply any, leader bool)
 }
+
+const (
+	// assignHold is how long an AssignShard request with nothing placeable
+	// is held server-side waiting for availability to change (a result
+	// landing, a shard requeuing) before the worker is told to back off and
+	// retry. Event-driven wakeup keeps an idle worker from sleeping a full
+	// WaitPoll after the run's last result arrives.
+	assignHold = 50 * time.Millisecond
+	// proposeTimeout bounds how long a control-plane request waits for its
+	// ledger command to commit (typically exceeded only without a quorum).
+	proposeTimeout = 10 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -106,17 +109,11 @@ func (c Config) withDefaults() Config {
 	if c.SpeculateAfter <= 0 {
 		c.SpeculateAfter = 30 * time.Second
 	}
-	if c.AssignHold <= 0 {
-		c.AssignHold = 50 * time.Millisecond
-	}
 	if c.Replicas <= 1 {
 		c.Replicas = 1
 	}
 	if c.TickEvery <= 0 {
 		c.TickEvery = 5 * time.Millisecond
-	}
-	if c.ProposeTimeout <= 0 {
-		c.ProposeTimeout = 10 * time.Second
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -146,6 +143,17 @@ type Coordinator struct {
 // NewCoordinator generates the fleet, plans the shards, and returns a
 // coordinator ready to be served.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
+	co, err := newCoordinator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	co.start()
+	return co, nil
+}
+
+// newCoordinator builds a coordinator whose consensus clock is not yet
+// running: until start, the replica sends nothing to its peers.
+func newCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Opts.Validate(); err != nil {
 		return nil, err
@@ -185,10 +193,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		plan:  plan,
 		fsm:   newLedgerFSM(cfg, plan),
 	}
-	tick := cfg.TickEvery
-	if cfg.Replicas == 1 {
-		tick = 0 // single-node groups commit inline; no ticker goroutine
-	}
 	co.runner = consensus.NewRunner(consensus.RunnerConfig{
 		Node: consensus.NewNode(consensus.Config{
 			ID:              cfg.ReplicaID,
@@ -198,11 +202,18 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		}),
 		FSM:            co.fsm,
 		Transport:      cfg.Transport,
-		TickEvery:      tick,
 		OnBecomeLeader: cfg.onLeader,
 		OnApply:        co.applied,
 	})
 	return co, nil
+}
+
+// start runs the consensus clock. Single-node groups commit inline and need
+// no ticker goroutine.
+func (co *Coordinator) start() {
+	if co.cfg.Replicas > 1 {
+		co.runner.Start(co.cfg.TickEvery)
+	}
 }
 
 // applied adapts the runner's apply hook to the config's, surfacing the
@@ -259,7 +270,7 @@ func (co *Coordinator) Handle(req *netblock.Request) *netblock.Response {
 		if err := fromJSON(req.Payload, &m); err != nil {
 			return fail(err)
 		}
-		return co.assignHold(resp, m.WorkerID)
+		return co.holdAssign(resp, m.WorkerID)
 	case netblock.OpShardResult:
 		// No pre-validation: the FSM decodes the frame at apply time and a
 		// malformed one comes back as an error reply (StatusError). Decoding
@@ -284,15 +295,15 @@ func (co *Coordinator) Handle(req *netblock.Request) *netblock.Response {
 	}
 }
 
-// assignHold proposes the assign and, when the ledger has nothing placeable,
+// holdAssign proposes the assign and, when the ledger has nothing placeable,
 // holds the reply instead of bouncing AssignWait straight back: it parks on
 // the FSM's availability pulse and re-proposes the moment a result lands or
-// a shard requeues, up to cfg.AssignHold. An idle worker at the tail of a
+// a shard requeues, up to assignHold. An idle worker at the tail of a
 // run gets its AssignDone (or the freed shard) with sub-millisecond latency
 // instead of discovering it a WaitPoll later — which is the difference
 // between the dispatch benchmark's p50 and a 25ms sleep. Only this handler
 // goroutine blocks; redirects, errors, and replica shutdown all break out.
-func (co *Coordinator) assignHold(resp *netblock.Response, workerID uint64) *netblock.Response {
+func (co *Coordinator) holdAssign(resp *netblock.Response, workerID uint64) *netblock.Response {
 	// The hold timer is allocated lazily: most assigns place a shard on the
 	// first try and never park, and this path runs once per shard.
 	var hold *time.Timer
@@ -312,7 +323,7 @@ func (co *Coordinator) assignHold(resp *netblock.Response, workerID uint64) *net
 			return co.render(resp, reply, err) // shard, done, redirect, or error
 		}
 		if hold == nil {
-			hold = time.NewTimer(co.cfg.AssignHold)
+			hold = time.NewTimer(assignHold)
 		}
 		select {
 		case <-avail:
@@ -329,7 +340,7 @@ func (co *Coordinator) assignHold(resp *netblock.Response, workerID uint64) *net
 // the consensus log, returning the FSM's reply unrendered.
 func (co *Coordinator) proposeRaw(c command) (any, error) {
 	c.At = co.cfg.now().UnixNano()
-	return co.runner.Propose(encodeCommand(&c), co.cfg.ProposeTimeout)
+	return co.runner.Propose(encodeCommand(&c), proposeTimeout)
 }
 
 // propose commits the command and renders the FSM's reply. On a non-leader

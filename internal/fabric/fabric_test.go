@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -69,9 +70,9 @@ func startFabric(t *testing.T, cfg Config) (*Coordinator, *Loopback) {
 }
 
 // runFabric executes a full distributed run with n workers (worker i gets
-// faultHook[i] if present) and returns the merged dataset plus each worker's
-// exit error.
-func runFabric(t *testing.T, co *Coordinator, lb *Loopback, n int, hooks map[int]func(int) error) (*trace.Dataset, []error) {
+// hooks[i] if present, and starts only once gates[i], if present, is
+// closed) and returns the merged dataset plus each worker's exit error.
+func runFabric(t *testing.T, co *Coordinator, lb *Loopback, n int, hooks map[int]func(int) error, gates map[int]chan struct{}) (*trace.Dataset, []error) {
 	t.Helper()
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -79,8 +80,11 @@ func runFabric(t *testing.T, co *Coordinator, lb *Loopback, n int, hooks map[int
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			if g := gates[i]; g != nil {
+				<-g
+			}
 			errs[i] = RunWorker(context.Background(), WorkerConfig{
-				Dial:      lb.Dial,
+				Dials:     []func() (net.Conn, error){lb.Dial},
 				FaultHook: hooks[i],
 			})
 		}(i)
@@ -106,7 +110,7 @@ func TestFabricMatchesSingleProcess(t *testing.T) {
 			Fleet: testFleetConfig(), Opts: testOpts(stream), Shards: 5,
 			HeartbeatEvery: 20 * time.Millisecond,
 		})
-		ds, errs := runFabric(t, co, lb, workers, nil)
+		ds, errs := runFabric(t, co, lb, workers, nil, nil)
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("workers=%d: worker %d exited: %v", workers, i, err)
@@ -128,6 +132,8 @@ func TestFabricMatchesSingleProcess(t *testing.T) {
 // its shard but before uploading — the worst moment, since the work is lost
 // but the dispatch is on the books. The survivor must inherit the shard via
 // liveness reaping and the merged dataset must still match single-process.
+// The survivor starts only once the crash has fired, so it cannot drain the
+// whole plan before the crashing worker ever holds a shard.
 func TestFabricWorkerCrashMidShard(t *testing.T) {
 	wantDS, _ := baseline(t)
 	stream := sketch.NewSet(sketch.Config{TopK: 8, SegPerVD: 4})
@@ -137,9 +143,10 @@ func TestFabricWorkerCrashMidShard(t *testing.T) {
 		LivenessTimeout: 60 * time.Millisecond,
 	})
 	crash := errors.New("simulated worker crash")
+	crashed := make(chan struct{})
 	ds, errs := runFabric(t, co, lb, 2, map[int]func(int) error{
-		1: func(shard int) error { return crash },
-	})
+		1: func(shard int) error { close(crashed); return crash },
+	}, map[int]chan struct{}{0: crashed})
 	if !errors.Is(errs[1], crash) {
 		t.Fatalf("crashing worker exited with %v, want the injected crash", errs[1])
 	}
@@ -311,7 +318,7 @@ func TestFabricDrainCompletesCurrentShard(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- RunWorker(context.Background(), WorkerConfig{
-			Dial:  lb.Dial,
+			Dials: []func() (net.Conn, error){lb.Dial},
 			Drain: drain,
 			// The hook fires between simulation and upload: requesting the
 			// drain here proves the in-flight shard still completes.
@@ -345,7 +352,7 @@ func TestFabricDrainCompletesCurrentShard(t *testing.T) {
 	}
 
 	// A fresh worker finishes the rest; the run still converges.
-	if _, errs := runFabric(t, co, lb, 1, nil); errs[0] != nil {
+	if _, errs := runFabric(t, co, lb, 1, nil, nil); errs[0] != nil {
 		t.Fatalf("second worker exited: %v", errs[0])
 	}
 }

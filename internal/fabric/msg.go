@@ -46,7 +46,7 @@ type RunSpec struct {
 }
 
 // specOf projects the serializable subset of opts. Callback and destination
-// fields (Progress, ChaosStats, Latency) stay coordinator-side; a non-nil
+// fields (Progress, ChaosStats) stay coordinator-side; a non-nil
 // Stream is reduced to its configuration.
 func specOf(opts ebs.Options) RunSpec {
 	spec := RunSpec{

@@ -68,7 +68,9 @@ func (f *replicaFan) Send(m consensus.Message) {
 // NewReplicaSet builds and serves `replicas` coordinator replicas of cfg.
 // cfg's replication fields (ReplicaID, Replicas, Transport) are overwritten
 // per replica; everything else — fleet, options, shard plan, liveness knobs —
-// is shared, which is what makes every replica's FSM identical.
+// is shared, which is what makes every replica's FSM identical. No replica's
+// consensus clock starts until every replica is built, so the fan never
+// addresses a replica that does not exist yet.
 func NewReplicaSet(cfg Config, replicas int) (*ReplicaSet, error) {
 	if replicas < 1 {
 		return nil, fmt.Errorf("fabric: replica set needs >= 1 replicas, got %d", replicas)
@@ -89,7 +91,7 @@ func NewReplicaSet(cfg Config, replicas int) (*ReplicaSet, error) {
 		c.onApplied = func(kind uint8, reply any, leader bool) {
 			rs.applied(id, kind, reply, leader)
 		}
-		co, err := NewCoordinator(c)
+		co, err := newCoordinator(c)
 		if err != nil {
 			rs.Close()
 			return nil, err
@@ -100,6 +102,9 @@ func NewReplicaSet(cfg Config, replicas int) (*ReplicaSet, error) {
 		rs.cos = append(rs.cos, co)
 		rs.lbs = append(rs.lbs, lb)
 		rs.srvs = append(rs.srvs, srv)
+	}
+	for _, co := range rs.cos {
+		co.start()
 	}
 	// Expand the chaos plan's leader-kill windows against the shard plan.
 	// The trigger counts are a pure function of (seed, shard count), so the

@@ -68,6 +68,24 @@ func runReplicated(t *testing.T, rs *ReplicaSet, n int) *trace.Dataset {
 	return ds
 }
 
+// TestReplicaSetStartOrder ticks the consensus clock far faster than a
+// replica can be built (each one generates its fleet). Replica 0 bootstraps
+// as leader, so if its clock ran before replicas 1 and 2 existed, its first
+// heartbeats would address a replica the fan does not hold yet.
+func TestReplicaSetStartOrder(t *testing.T) {
+	cfg := replicaConfig(nil, 0)
+	cfg.Opts.Chaos = nil
+	cfg.TickEvery = time.Microsecond
+	rs, err := NewReplicaSet(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.Close()
+	if tr := rs.Transitions(); len(tr) == 0 || tr[0] != (invariant.LeaderTransition{Term: 1, Leader: 0}) {
+		t.Fatalf("leadership history %v does not start with the bootstrap leader", tr)
+	}
+}
+
 // TestReplicaSetMatchesSingleProcess: with no chaos at all, a 3-replica
 // control plane must be invisible — same dataset, same sketches as one
 // process, with every mutation having travelled the consensus log.

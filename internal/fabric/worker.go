@@ -16,9 +16,6 @@ import (
 
 // WorkerConfig describes one worker process.
 type WorkerConfig struct {
-	// Dial opens the control-plane connection to a single coordinator
-	// (legacy single-replica form; equivalent to a one-element Dials).
-	Dial func() (net.Conn, error)
 	// Dials lists the control-plane endpoints of every coordinator replica,
 	// indexed by replica ID. The worker follows leader redirects across them
 	// and fails over to the next replica when a connection dies.
@@ -63,11 +60,8 @@ type ctrlLink struct {
 
 func newCtrlLink(wc WorkerConfig) (*ctrlLink, error) {
 	dials := wc.Dials
-	if len(dials) == 0 && wc.Dial != nil {
-		dials = []func() (net.Conn, error){wc.Dial}
-	}
 	if len(dials) == 0 {
-		return nil, fmt.Errorf("fabric: worker needs Dial or Dials")
+		return nil, fmt.Errorf("fabric: worker needs Dials")
 	}
 	timeout := wc.CallTimeout
 	if timeout <= 0 {

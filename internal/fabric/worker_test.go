@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func TestFabricWorkerRetriesLostResultReply(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- RunWorker(context.Background(), WorkerConfig{
-			Dial:        lb.Dial,
+			Dials:       []func() (net.Conn, error){lb.Dial},
 			CallTimeout: 300 * time.Millisecond,
 		})
 	}()
@@ -106,7 +107,7 @@ func TestFabricWorkerFailsFastWhenControlPlaneDies(t *testing.T) {
 	var killedAt atomic.Int64
 	go func() {
 		done <- RunWorker(context.Background(), WorkerConfig{
-			Dial:           lb.Dial,
+			Dials:          []func() (net.Conn, error){lb.Dial},
 			CallTimeout:    200 * time.Millisecond,
 			FailoverWindow: 500 * time.Millisecond,
 			// Fires after the shard simulation, before its upload: the worst

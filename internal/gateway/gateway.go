@@ -15,7 +15,6 @@ import (
 	"ebslab/internal/fabric"
 	"ebslab/internal/invariant"
 	"ebslab/internal/netblock"
-	"ebslab/internal/scenario"
 	"ebslab/internal/sketch"
 	"ebslab/internal/throttle"
 	"ebslab/internal/trace"
@@ -437,16 +436,8 @@ func (gw *Gateway) runLocal(j *job) error {
 	opts := j.spec.RunOptions()
 	opts.Stream = stream
 	opts.Snapshots = sink
-	if j.spec.Scenario != "" {
-		built, err := scenario.Build(j.spec.Scenario)
-		if err != nil {
-			return err
-		}
-		wl, err := built.Bind(fleet)
-		if err != nil {
-			return err
-		}
-		opts.Scenario = wl
+	if opts.Scenario, err = j.spec.BindScenario(fleet); err != nil {
+		return err
 	}
 	opts.Progress = func(done, total int) {
 		j.vdsTotal.Store(int64(total))

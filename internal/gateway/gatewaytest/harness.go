@@ -118,11 +118,11 @@ type Oracle struct {
 }
 
 // RunOracle executes spec directly through ebs.Run — same fleet mapping,
-// same options, fresh streaming sketch — and returns the fingerprints every
-// gateway execution of that spec (local, fabric, fabric with leader kills)
-// must reproduce byte for byte. Fabric-only spec fields (Shards,
-// LeaderKills) do not influence the result: sharding is merge-invariant and
-// leader kills are control-plane-only chaos.
+// same options, the spec's scenario bound to that fleet, fresh streaming
+// sketch — and returns the fingerprints every gateway execution of that spec
+// (local, fabric, fabric with leader kills) must reproduce byte for byte.
+// Fabric-only spec fields (Shards, LeaderKills) do not influence the result:
+// sharding is merge-invariant and leader kills are control-plane-only chaos.
 func RunOracle(ctx context.Context, spec gateway.StudySpec) (Oracle, error) {
 	fleet, err := workload.Generate(spec.FleetConfig())
 	if err != nil {
@@ -131,6 +131,9 @@ func RunOracle(ctx context.Context, spec gateway.StudySpec) (Oracle, error) {
 	stream := sketch.NewSet(sketch.Config{})
 	opts := spec.RunOptions()
 	opts.Stream = stream
+	if opts.Scenario, err = spec.BindScenario(fleet); err != nil {
+		return Oracle{}, fmt.Errorf("gatewaytest: oracle scenario: %w", err)
+	}
 	ds, err := ebs.New(fleet).Run(ctx, opts)
 	if err != nil {
 		return Oracle{}, fmt.Errorf("gatewaytest: oracle run: %w", err)

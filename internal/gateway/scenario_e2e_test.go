@@ -4,41 +4,9 @@ import (
 	"context"
 	"testing"
 
-	"ebslab/internal/ebs"
 	"ebslab/internal/gateway"
 	"ebslab/internal/gateway/gatewaytest"
-	"ebslab/internal/invariant"
-	"ebslab/internal/scenario"
-	"ebslab/internal/sketch"
-	"ebslab/internal/workload"
 )
-
-// scenarioOracle is RunOracle with the scenario bound the way the gateway
-// binds it: rebuilt from the spec string against the spec's fleet.
-func scenarioOracle(t *testing.T, spec gateway.StudySpec) (string, string) {
-	t.Helper()
-	fleet, err := workload.Generate(spec.FleetConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := scenario.Build(spec.Scenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl, err := built.Bind(fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := sketch.NewSet(sketch.Config{})
-	opts := spec.RunOptions()
-	opts.Stream = stream
-	opts.Scenario = wl
-	ds, err := ebs.New(fleet).Run(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return invariant.Fingerprint(ds), stream.Fingerprint()
-}
 
 // TestE2EScenarioStudy pushes a scenario study through a live gateway — once
 // in-process and once on a two-worker fabric — and requires both served
@@ -48,7 +16,11 @@ func TestE2EScenarioStudy(t *testing.T) {
 		Seed: 4242, DurationSec: 2, Nodes: 2, Users: 4, MaxVDs: 6,
 		EventSampleEvery: 4, Scenario: "bufferbloat,period=8,duty=0.5",
 	}
-	wantDS, wantSK := scenarioOracle(t, spec)
+	oracle, err := gatewaytest.RunOracle(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDS, wantSK := oracle.DatasetFP, oracle.SketchFP
 
 	for name, cfg := range map[string]gateway.Config{
 		"local":  {MaxConcurrent: 1},

@@ -198,6 +198,21 @@ func (s StudySpec) RunOptions() ebs.Options {
 	}
 }
 
+// BindScenario rebuilds the spec's scenario from its spec string and binds it
+// to fleet, which must be generated from FleetConfig — exactly what every
+// execution of the spec does, in-process or on a fabric worker. It returns
+// nil when the spec names no scenario.
+func (s StudySpec) BindScenario(fleet *workload.Fleet) (scenario.Workload, error) {
+	if s.Scenario == "" {
+		return nil, nil
+	}
+	built, err := scenario.Build(s.Scenario)
+	if err != nil {
+		return nil, err
+	}
+	return built.Bind(fleet)
+}
+
 // key is the spec's content address: the hash of its canonical (normalized,
 // fixed-width) encoding. Completed studies are stored under this key, so a
 // re-submission of an identical spec — by any tenant — is answered from the

@@ -29,64 +29,15 @@ type GainResult struct {
 // cache.
 func EvaluateGain(m *Model, accesses []cache.Access, hotOffset, hotLen int64, loc CacheLocation, seed int64) []GainResult {
 	frozen := cache.NewFrozen(hotOffset, hotLen)
-	type bucket struct {
-		with, without []float64
-		hits, total   int
-	}
-	buckets := map[trace.Op]*bucket{trace.OpRead: {}, trace.OpWrite: {}}
-	rng := rand.New(rand.NewSource(seed))
-	for _, a := range accesses {
-		op := trace.OpRead
-		if a.Write {
-			op = trace.OpWrite
-		}
+	return evaluateGain(m, accesses, loc, seed, func(a cache.Access, first, last int64) (CacheLocation, bool) {
 		// Whole-IO hit: every covered page must be inside the frozen range.
-		first := a.Offset / cache.PageSize
-		last := (a.Offset + int64(a.Size) - 1) / cache.PageSize
-		hit := true
 		for p := first; p <= last; p++ {
 			if !frozen.Touch(p, a.Write) {
-				hit = false
-				break
+				return loc, false
 			}
 		}
-		b := buckets[op]
-		b.total++
-		if hit {
-			b.hits++
-		}
-		ioSeed := rng.Int63()
-		sub := rand.New(rand.NewSource(ioSeed))
-		without := Total(m.Sample(sub, op, a.Size, NoCache, false))
-		sub = rand.New(rand.NewSource(ioSeed))
-		with := Total(m.Sample(sub, op, a.Size, loc, hit))
-		b.without = append(b.without, without)
-		b.with = append(b.with, with)
-	}
-	var out []GainResult
-	for _, op := range []trace.Op{trace.OpRead, trace.OpWrite} {
-		b := buckets[op]
-		res := GainResult{Location: loc, Op: op, Count: b.total}
-		if b.total == 0 {
-			res.P0, res.P50, res.P99, res.HitRatio = math.NaN(), math.NaN(), math.NaN(), math.NaN()
-		} else {
-			res.HitRatio = float64(b.hits) / float64(b.total)
-			res.P0 = ratioAt(b.with, b.without, 0)
-			res.P50 = ratioAt(b.with, b.without, 0.5)
-			res.P99 = ratioAt(b.with, b.without, 0.99)
-		}
-		out = append(out, res)
-	}
-	return out
-}
-
-func ratioAt(with, without []float64, q float64) float64 {
-	w := stats.Quantile(with, q)
-	wo := stats.Quantile(without, q)
-	if wo == 0 || math.IsNaN(w) || math.IsNaN(wo) {
-		return math.NaN()
-	}
-	return w / wo
+		return loc, true
+	})
 }
 
 // EvaluateHybridGain evaluates the hybrid deployment §7.3.2 proposes as the
@@ -107,7 +58,33 @@ func EvaluateHybridGain(m *Model, accesses []cache.Access, hotOffset, hotLen int
 	}
 	cn := cache.NewFrozen(hotOffset, cnLen)
 	bs := cache.NewFrozen(hotOffset, hotLen)
+	return evaluateGain(m, accesses, HybridCache, seed, func(a cache.Access, first, last int64) (CacheLocation, bool) {
+		cnHit, bsHit := true, true
+		for p := first; p <= last; p++ {
+			if !cn.Touch(p, a.Write) {
+				cnHit = false
+			}
+			if !bs.Touch(p, a.Write) {
+				bsHit = false
+				break
+			}
+		}
+		switch {
+		case cnHit:
+			return CNCache, true
+		case bsHit:
+			return BSCache, true
+		}
+		return NoCache, false
+	})
+}
 
+// evaluateGain is the paired-draw loop behind both evaluators: serve picks
+// each IO's (location, hit) from its page range [first, last], and the IO's
+// latency is drawn twice from one substream — once uncached, once served
+// there. Results are labelled with label.
+func evaluateGain(m *Model, accesses []cache.Access, label CacheLocation, seed int64,
+	serve func(a cache.Access, first, last int64) (CacheLocation, bool)) []GainResult {
 	type bucket struct {
 		with, without []float64
 		hits, total   int
@@ -121,23 +98,7 @@ func EvaluateHybridGain(m *Model, accesses []cache.Access, hotOffset, hotLen int
 		}
 		first := a.Offset / cache.PageSize
 		last := (a.Offset + int64(a.Size) - 1) / cache.PageSize
-		cnHit, bsHit := true, true
-		for p := first; p <= last; p++ {
-			if !cn.Touch(p, a.Write) {
-				cnHit = false
-			}
-			if !bs.Touch(p, a.Write) {
-				bsHit = false
-				break
-			}
-		}
-		loc, hit := NoCache, false
-		switch {
-		case cnHit:
-			loc, hit = CNCache, true
-		case bsHit:
-			loc, hit = BSCache, true
-		}
+		loc, hit := serve(a, first, last)
 		b := buckets[op]
 		b.total++
 		if hit {
@@ -154,7 +115,7 @@ func EvaluateHybridGain(m *Model, accesses []cache.Access, hotOffset, hotLen int
 	var out []GainResult
 	for _, op := range []trace.Op{trace.OpRead, trace.OpWrite} {
 		b := buckets[op]
-		res := GainResult{Location: HybridCache, Op: op, Count: b.total}
+		res := GainResult{Location: label, Op: op, Count: b.total}
 		if b.total == 0 {
 			res.P0, res.P50, res.P99, res.HitRatio = math.NaN(), math.NaN(), math.NaN(), math.NaN()
 		} else {
@@ -166,6 +127,15 @@ func EvaluateHybridGain(m *Model, accesses []cache.Access, hotOffset, hotLen int
 		out = append(out, res)
 	}
 	return out
+}
+
+func ratioAt(with, without []float64, q float64) float64 {
+	w := stats.Quantile(with, q)
+	wo := stats.Quantile(without, q)
+	if wo == 0 || math.IsNaN(w) || math.IsNaN(wo) {
+		return math.NaN()
+	}
+	return w / wo
 }
 
 // CountCacheablePerNode implements Fig 7(d)'s provisioning metric: given

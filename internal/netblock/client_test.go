@@ -154,12 +154,12 @@ func TestNoRetriesWithoutBudget(t *testing.T) {
 }
 
 // TestBackoffDeterministicJitter pins the backoff schedule: exponential
-// growth capped at BackoffCap, jitter inside [50%, 100%], and bit-identical
+// growth capped at backoffCap, jitter inside [50%, 100%], and bit-identical
 // for the same (Seed, call ID, attempt).
 func TestBackoffDeterministicJitter(t *testing.T) {
 	mk := func(seed int64) *Client { return &Client{cfg: Config{Seed: seed}} }
 	a, b := mk(42), mk(42)
-	base, cap := time.Millisecond, 250*time.Millisecond
+	base, cap := time.Millisecond, backoffCap
 	for attempt := 0; attempt < 12; attempt++ {
 		d := a.backoff(7, attempt)
 		if d != b.backoff(7, attempt) {

@@ -1,6 +1,10 @@
 package sketch
 
-import "math"
+import (
+	"math"
+
+	"ebslab/internal/xrand"
+)
 
 // HLL is a HyperLogLog cardinality estimator with 2^p single-byte
 // registers. The standard error of the estimate is about 1.04/sqrt(2^p) —
@@ -27,7 +31,7 @@ func (h *HLL) P() int { return int(h.p) }
 
 // Add ingests one key (hashed internally with splitmix64).
 func (h *HLL) Add(key uint64) {
-	x := hash64(key)
+	x := xrand.Mix(key)
 	idx := x >> (64 - h.p)
 	// rho: position of the leftmost 1-bit in the remaining 64-p bits.
 	rest := x<<h.p | 1<<(uint(h.p)-1) // sentinel caps rho at 64-p+1

@@ -48,15 +48,6 @@ func (t *Totals) Add(o Totals) {
 	t.Bytes += o.Bytes
 }
 
-// hash64 is the splitmix64 finalizer — the same mixer the trace sampler
-// uses — applied to sketch keys before cardinality estimation.
-func hash64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // digest is a canonical-serialization writer shared by the AppendHash
 // implementations: fixed-width little-endian words into a streaming hash.
 type digest struct {

@@ -36,7 +36,7 @@ func TestScratchSimulateEquivalence(t *testing.T) {
 	shapes := []struct{ n, dur int }{{4, 60}, {1, 10}, {8, 120}, {3, 0}, {4, 60}}
 	for i, sh := range shapes {
 		caps, demand := synthGroup(int64(i+1), sh.n, sh.dur)
-		got := sc.Simulate(caps, demand)
+		got, _ := sc.Simulate(caps, demand, nil, false)
 		want := Simulate(caps, demand)
 		if !reflect.DeepEqual(normalize(got), normalize(want)) {
 			t.Fatalf("shape %d (%d vds, %d s): scratch result diverged", i, sh.n, sh.dur)
@@ -65,9 +65,9 @@ func normalize(r Result) Result {
 func TestScratchSimulateAllocs(t *testing.T) {
 	var sc Scratch
 	caps, demand := synthGroup(7, 6, 90)
-	sc.Simulate(caps, demand) // warm the buffers
+	sc.Simulate(caps, demand, nil, false) // warm the buffers
 	allocs := testing.AllocsPerRun(20, func() {
-		sc.Simulate(caps, demand)
+		sc.Simulate(caps, demand, nil, false)
 	})
 	if allocs != 0 {
 		t.Fatalf("Scratch.Simulate allocated %.1f times per run, want 0", allocs)

@@ -114,30 +114,29 @@ type Scratch struct {
 	isDown        []bool
 }
 
-// Simulate is Simulate reusing the scratch buffers: identical arithmetic,
-// identical Result values, zero steady-state allocation. The Result is
-// valid until the next call on this Scratch.
-func (sc *Scratch) Simulate(caps []Caps, demand [][]Demand) Result {
-	return simulate(caps, demand, nil, nil, nil, sc, nil)
-}
-
-// SimulateScheduled is Simulate under an externally planned cap schedule:
-// before each second, the effective caps are reset to nominal and capsAt may
-// adjust them in place (the control plane's per-epoch lending grants arrive
-// this way). The schedule is trusted here — fleet-wide grant conservation is
-// an invariant-package law, since a single scheduled group no longer sees
-// its lenders. A nil capsAt degrades to Simulate.
-func (sc *Scratch) SimulateScheduled(caps []Caps, demand [][]Demand, capsAt func(t int, eff []Caps)) Result {
-	return simulate(caps, demand, nil, nil, nil, sc, capsAt)
-}
-
-// SimulateScheduledAudited is SimulateScheduled with the delivery laws
-// audited. The per-second budget law is checked against the *scheduled* caps
-// (a scheduled group may legitimately exceed its nominal sum while borrowing
-// fleet-wide); scheduled caps must still be non-negative.
-func SimulateScheduledAudited(caps []Caps, demand [][]Demand, capsAt func(t int, eff []Caps)) (Result, []string) {
+// Simulate is the package-level Simulate reusing the scratch buffers:
+// identical arithmetic, identical Result values, zero steady-state
+// allocation. The Result is valid until the next call on this Scratch.
+//
+// A non-nil capsAt runs the replay under an externally planned cap
+// schedule: before each second, the effective caps are reset to nominal and
+// capsAt may adjust them in place (the engine composes scenario cap
+// schedules and the control plane's per-epoch lending grants this way). The
+// schedule is trusted here — fleet-wide grant conservation is an
+// invariant-package law, since a single scheduled group no longer sees its
+// lenders.
+//
+// With audit set, the conservation laws of SimulateAudited are checked and
+// any violations returned; under a schedule, the per-second budget law is
+// checked against the *scheduled* caps (a scheduled group may legitimately
+// exceed its nominal sum while borrowing fleet-wide), which must still be
+// non-negative.
+func (sc *Scratch) Simulate(caps []Caps, demand [][]Demand, capsAt func(t int, eff []Caps), audit bool) (Result, []string) {
+	if !audit {
+		return simulate(caps, demand, nil, nil, nil, sc, capsAt), nil
+	}
 	a := &auditLog{}
-	res := simulate(caps, demand, nil, nil, a, nil, capsAt)
+	res := simulate(caps, demand, nil, nil, a, sc, capsAt)
 	return res, a.msgs
 }
 

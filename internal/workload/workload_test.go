@@ -9,6 +9,7 @@ import (
 	"ebslab/internal/cluster"
 	"ebslab/internal/stats"
 	"ebslab/internal/trace"
+	"ebslab/internal/xrand"
 )
 
 // smallConfig is a fast fleet for unit tests.
@@ -425,12 +426,12 @@ func TestSubSeedIndependence(t *testing.T) {
 		if a == b {
 			return true
 		}
-		return subSeed(master, tagVDSeries, a) != subSeed(master, tagVDSeries, b)
+		return xrand.Derive(master, tagVDSeries, a) != xrand.Derive(master, tagVDSeries, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
-	if subSeed(1, tagVDSeries, 5) == subSeed(1, tagQPSplit, 5) {
+	if xrand.Derive(1, tagVDSeries, 5) == xrand.Derive(1, tagQPSplit, 5) {
 		t.Fatal("different tags collided")
 	}
 }

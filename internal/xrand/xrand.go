@@ -259,3 +259,22 @@ func (r *Rand) Release() {
 		pool.Put(r)
 	}
 }
+
+// Mix is the splitmix64 finalizer: a fast, high-quality 64-bit mixer. Every
+// derived seed and every hash-based sampling decision in the module goes
+// through it, so adjacent inputs (VD IDs, trace IDs, sketch keys) land on
+// decorrelated outputs.
+func Mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// Derive returns the seed of one named stream: stream family tag (distinct
+// per family) for one entity under the master seed. Regenerating any
+// entity's stream therefore never depends on generation order.
+func Derive(master int64, tag, entity uint64) int64 {
+	h := Mix(uint64(master) ^ Mix(tag))
+	return int64(Mix(h ^ Mix(entity)))
+}
