@@ -125,9 +125,12 @@ gateway-smoke:
 # predictive policy must beat reactive on imbalance under the pinned chaos
 # plan, and noop must answer byte-identically to the uncontrolled run), the
 # metamorphic worker-count invariance of the decision log, and one seeded
-# predict->act CLI run under chaos with the invariant suite on.
+# predict->act CLI run under chaos with the invariant suite on. The engine
+# tests hold the traffic-only observe pass to Run's Observe output, the
+# Observe shape check, and RunControlled's hooks to the actuated pass.
 control-smoke:
 	$(GO) test ./internal/control/... -count=1
+	$(GO) test ./internal/ebs -run 'TestObserveTrafficMatchesRun|TestRunRejectsMismatchedObservation|TestRunControlledHooks' -count=1
 	$(GO) run ./cmd/ebssim -seed 7 -dur 24 -nodes 4 -max-vds 24 -control predictive -chaos -storms 4 -check
 
 # Scenario-library gate: the scenario package suite (golden fixtures,

@@ -651,7 +651,8 @@ func BenchmarkSeriesGeneration(b *testing.B) {
 
 // BenchmarkControlOverhead prices the predict->act mitigation loop against
 // the identical study uncontrolled. The "noop" case is the control plane's
-// fixed cost — a full observe pass plus planning over an empty action set —
+// fixed cost — a traffic-only observe pass (event generation and counting,
+// no latency sampling or tracing) plus planning over an empty action set —
 // and "reactive" adds real actuation (migration lookups, lending overrides)
 // to the bill. The gate watches ios-per-sec on all three.
 func BenchmarkControlOverhead(b *testing.B) {

@@ -407,10 +407,11 @@ func printStream(set *sketch.Set, ds *trace.Dataset) {
 		sketch.Overlap(exact.HotSegments, sk.HotSegments))
 }
 
-// runControlled executes the predict->act loop end to end — an observe pass,
-// one plan, an actuated pass — and prints the mitigation summary ahead of the
-// regular stack report. The dataset the report sections consume is the
-// actuated run's, so every downstream number reflects life under mitigation.
+// runControlled executes the predict->act loop end to end — a traffic-only
+// observe pass, one plan, an actuated pass — and prints the mitigation
+// summary ahead of the regular stack report. The dataset the report sections
+// consume is the actuated run's, so every downstream number reflects life
+// under mitigation.
 func runControlled(ctx context.Context, fleet *workload.Fleet, opts ebs.Options, policy string, epochSec int) (*trace.Dataset, error) {
 	pol, err := control.ByName(policy)
 	if err != nil {

@@ -9,13 +9,14 @@
 // Determinism is the design constraint everything here bends around. The
 // engine simulates each virtual disk whole, from a single sequential RNG
 // stream, so a controller cannot interleave with generation without changing
-// draws. Instead a controlled run is two passes over the same seed: an
-// observe pass that fills an Observation (integer counters per epoch and
-// entity — commutative to merge, so worker-count invariant), then a
+// draws. Instead a controlled run is two passes over the same seed: a
+// traffic-only observe pass that runs the event generators and fills an
+// Observation (integer counters per epoch and entity — commutative to merge,
+// so worker-count invariant) without sampling latency or tracing, then a
 // sequential control loop replaying the epochs in order (each policy sees
-// only epochs <= e when deciding for e+1), and finally an actuated pass that
-// applies the compiled Timeline through RNG-free lookups in the engine's
-// emit path. Every decision lands in an epoch-stamped, fingerprintable log,
+// only epochs <= e when deciding for e+1), and finally an actuated pass, a
+// full engine run that applies the compiled Timeline through RNG-free
+// lookups in the engine's emit path. Every decision lands in an epoch-stamped, fingerprintable log,
 // and invariant.CheckControlActuation holds the log and the applied actions
 // to a bijection. See DESIGN.md, "Mitigation control plane".
 package control
@@ -84,6 +85,23 @@ func (s ObsShape) Validate() error {
 	return nil
 }
 
+// Equal reports whether two shapes are identical in every field: epoch
+// grid, window, entity axes, worker-thread layout, and scale. Observations
+// merge, and batches index into them, only under an identical shape.
+func (s ObsShape) Equal(t ObsShape) bool {
+	if s.EpochSec != t.EpochSec || s.DurSec != t.DurSec ||
+		s.Segments != t.Segments || s.VDs != t.VDs || s.QPs != t.QPs || s.WTs != t.WTs ||
+		s.Scale != t.Scale || len(s.WTBase) != len(t.WTBase) {
+		return false
+	}
+	for i := range s.WTBase {
+		if s.WTBase[i] != t.WTBase[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Observation is the controller's telemetry: exact integer counters per
 // (epoch, entity). Counters are commutative sums of per-IO contributions, so
 // per-shard observations over disjoint virtual disks merge into the same
@@ -150,14 +168,12 @@ func (o *Observation) ObserveBatch(b *trace.Batch) {
 	}
 }
 
-// Merge adds other's counters into o. Both observations must share a shape;
-// merging is commutative, which is what makes the merged state independent
-// of which worker observed which disk.
+// Merge adds other's counters into o. Both observations must have Equal
+// shapes; merging is commutative, which is what makes the merged state
+// independent of which worker observed which disk.
 func (o *Observation) Merge(other *Observation) error {
-	if o.Shape.Epochs() != other.Shape.Epochs() ||
-		o.Shape.Segments != other.Shape.Segments || o.Shape.VDs != other.Shape.VDs ||
-		o.Shape.QPs != other.Shape.QPs || o.Shape.WTs != other.Shape.WTs {
-		return fmt.Errorf("control: merging observations of different shapes")
+	if !o.Shape.Equal(other.Shape) {
+		return fmt.Errorf("control: merging observations of different shapes (%+v into %+v)", other.Shape, o.Shape)
 	}
 	for _, pair := range [][2][]uint64{
 		{o.segR, other.segR}, {o.segW, other.segW},

@@ -99,11 +99,33 @@ func TestObservationCountsAndMerge(t *testing.T) {
 	if a.Fingerprint() == ab.Fingerprint() {
 		t.Fatalf("merging new counters did not change the fingerprint")
 	}
+}
 
-	other := testShape()
-	other.Segments = 5
-	if err := ab.Merge(NewObservation(other)); err == nil {
-		t.Fatalf("Merge accepted a shape mismatch")
+// TestObservationMergeRejectsShapeMismatch: observations merge only under
+// an identical shape. Equal epoch counts and axes are not enough: a
+// different epoch grid, scale, or worker-thread layout gives the same
+// counter indices a different meaning.
+func TestObservationMergeRejectsShapeMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		dst, src func(*ObsShape)
+	}{
+		{"segments", func(*ObsShape) {}, func(s *ObsShape) { s.Segments = 5 }},
+		{"epoch grid", func(s *ObsShape) { s.EpochSec, s.DurSec = 6, 72 },
+			func(s *ObsShape) { s.EpochSec, s.DurSec = 5, 60 }},
+		{"scale", func(s *ObsShape) { s.Scale = 16 }, func(s *ObsShape) { s.Scale = 4 }},
+		{"wtbase", func(s *ObsShape) { s.WTs, s.WTBase = 4, []int{0, 2} },
+			func(s *ObsShape) { s.WTs, s.WTBase = 4, []int{0, 1} }},
+	} {
+		dst, src := testShape(), testShape()
+		tc.dst(&dst)
+		tc.src(&src)
+		if err := NewObservation(dst).Merge(NewObservation(src)); err == nil {
+			t.Fatalf("%s: Merge accepted %+v into %+v", tc.name, src, dst)
+		}
+		if err := NewObservation(dst).Merge(NewObservation(dst)); err != nil {
+			t.Fatalf("%s: Merge rejected an identical shape: %v", tc.name, err)
+		}
 	}
 }
 

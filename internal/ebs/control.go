@@ -7,9 +7,11 @@ import (
 	"ebslab/internal/cluster"
 	"ebslab/internal/control"
 	"ebslab/internal/invariant"
+	"ebslab/internal/par"
 	"ebslab/internal/scenario"
 	"ebslab/internal/throttle"
 	"ebslab/internal/trace"
+	"ebslab/internal/workload"
 )
 
 // ObsShapeFor builds the control-plane observation shape for a run of this
@@ -79,16 +81,21 @@ func (s *Sim) ControlInput(opts Options, obs *control.Observation) (control.Inpu
 // RunControlled executes the predict→act loop end to end: an observe pass
 // over the seed fills an Observation, control.BuildPlan replays its epochs
 // through the policy into a timeline, and an actuated pass re-runs the same
-// seed with the timeline applied. Both passes draw identical RNG streams, so
-// the only differences in the actuated dataset are the attribution and
-// latency effects of the plan itself — a no-op policy returns a dataset
+// seed with the timeline applied. A no-op policy returns a dataset
 // byte-identical to s.Run(ctx, opts).
 //
-// The observe pass runs with streaming, snapshots, checking, and progress
-// stripped (they belong to the run the caller asked for, not the telemetry
-// pass). In check mode, the decision log and the timeline are additionally
-// held to the actuation conservation laws before the actuated pass runs.
+// The observe pass is traffic-only: it runs the same per-disk event
+// generators as Run and folds their IOs into the Observation, but samples no
+// latency, traces nothing, and assembles no dataset, so streaming,
+// snapshots, chaos accounting, progress, and checking all belong to the
+// actuated pass alone. Its Observation equals the one Run fills through
+// Options.Observe. In check mode, the decision log and the timeline are
+// additionally held to the actuation conservation laws before the actuated
+// pass runs.
 func (s *Sim) RunControlled(ctx context.Context, opts Options, pol control.Policy, cfg control.Config) (*trace.Dataset, *control.Plan, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if opts.Control != nil || opts.Observe != nil {
 		return nil, nil, fmt.Errorf("ebs: RunControlled builds its own Control/Observe options; leave both nil")
 	}
@@ -111,14 +118,7 @@ func (s *Sim) RunControlled(ctx context.Context, opts Options, pol control.Polic
 	}
 
 	obs := control.NewObservation(shape)
-	observeOpts := opts
-	observeOpts.Stream = nil
-	observeOpts.Snapshots = nil
-	observeOpts.ChaosStats = nil
-	observeOpts.Progress = nil
-	observeOpts.Check = false
-	observeOpts.Observe = obs
-	if _, err := s.Run(ctx, observeOpts); err != nil {
+	if err := s.observeTraffic(ctx, opts, obs); err != nil {
 		return nil, nil, fmt.Errorf("ebs: observe pass: %w", err)
 	}
 
@@ -164,18 +164,114 @@ func (s *Sim) checkControlOptions(opts *Options) error {
 		}
 	}
 	if opts.Observe != nil {
-		sh := opts.Observe.Shape
-		if sh.Segments != len(top.Segments) || sh.VDs != len(top.VDs) ||
-			sh.QPs != len(top.QPs) || sh.WTs != top.NumWTs() {
-			return fmt.Errorf("ebs: observation shape (%d seg, %d vd, %d qp, %d wt) does not match fleet (%d, %d, %d, %d)",
-				sh.Segments, sh.VDs, sh.QPs, sh.WTs,
-				len(top.Segments), len(top.VDs), len(top.QPs), top.NumWTs())
+		got := opts.Observe.Shape
+		want, err := s.ObsShapeFor(*opts, got.EpochSec)
+		if err != nil {
+			return fmt.Errorf("ebs: observation shape: %w", err)
 		}
-		if sh.DurSec != opts.DurationSec {
-			return fmt.Errorf("ebs: observation window %ds, run lasts %ds", sh.DurSec, opts.DurationSec)
+		if !got.Equal(want) {
+			return fmt.Errorf("ebs: observation shape %+v does not match this fleet and run, want %+v", got, want)
 		}
 	}
 	return nil
+}
+
+// observeTraffic is RunControlled's observe pass. Per virtual disk it runs
+// the same traffic as Run (trafficOf: series, storm boost, generator) and
+// stamps each IO with the segment, placement check, and worker thread the
+// engine's emit path computes, then folds pooled batches into per-worker
+// observations through Observation.ObserveBatch, merged in worker order
+// after the pool drains.
+//
+// Everything else Run does — throttle replay, latency sampling, scenario
+// delay models, tracing, merge, dataset assembly — feeds only latency and
+// dataset columns no observation reads, and the generators draw from RNG
+// streams independent of the latency stream, so obs ends up exactly as
+// Run with Options.Observe would leave it. opts must be prepared, carry no
+// control timeline, and not replay verbatim records.
+func (s *Sim) observeTraffic(ctx context.Context, opts Options, obs *control.Observation) error {
+	if err := s.checkScenarioOptions(&opts); err != nil {
+		return err
+	}
+	nVDs := s.runVDs(opts)
+	sched := s.expandChaos(opts)
+	tos := make([]*trafficObserver, poolSize(opts, nVDs))
+	for i := range tos {
+		to := &trafficObserver{
+			obs:    control.NewObservation(obs.Shape),
+			batch:  trace.GetBatch(trace.DefaultBatchCap),
+			top:    s.fleet.Topology,
+			seg2bs: s.fleet.Seg2BS,
+			wtOf:   s.wtOf,
+		}
+		to.emitFn = to.emit
+		tos[i] = to
+		defer to.batch.Release()
+	}
+	err := par.ForEachWorker(ctx, nVDs, len(tos), func(worker, vdIdx int) error {
+		to := tos[worker]
+		to.vd = cluster.VDID(vdIdx)
+		to.node = to.top.VMs[to.top.VDs[vdIdx].VM].Node
+		tr := s.trafficOf(to.series, to.vd, &opts, sched)
+		to.series = tr.series
+		tr.generate(to.emitFn)
+		return to.err
+	})
+	if err != nil {
+		return err
+	}
+	for _, to := range tos {
+		to.obs.ObserveBatch(to.batch)
+		if err := obs.Merge(to.obs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// trafficObserver is one pool worker's state in the traffic-only observe
+// pass: its own observation, a pooled batch filled with only the columns
+// Observation.ObserveBatch reads, and the current disk's attribution. Rows
+// of several disks share the batch; the counters do not care.
+type trafficObserver struct {
+	obs    *control.Observation
+	batch  *trace.Batch
+	series []workload.Sample
+	emitFn func(workload.Event) // emit, bound once per worker
+
+	top    *cluster.Topology
+	seg2bs *cluster.SegmentMap
+	wtOf   []int8
+	vd     cluster.VDID
+	node   cluster.NodeID
+	err    error
+}
+
+// emit is the observe pass's event callback: vdEmitter.emit's placement
+// lookup and uncontrolled worker-thread attribution, without latency.
+func (o *trafficObserver) emit(ev workload.Event) {
+	if o.err != nil {
+		return
+	}
+	seg := o.top.SegmentOfOffset(o.vd, ev.Offset)
+	if o.seg2bs.BSOf(seg) < 0 {
+		o.err = fmt.Errorf("ebs: segment %d unplaced", seg)
+		return
+	}
+	b := o.batch
+	if b.Full() {
+		o.obs.ObserveBatch(b)
+		b.Reset()
+	}
+	i := b.Next()
+	b.TimeUS[i] = ev.TimeUS
+	b.Op[i] = ev.Op
+	b.Size[i] = ev.Size
+	b.Segment[i] = seg
+	b.VD[i] = o.vd
+	b.QP[i] = ev.QP
+	b.Node[i] = o.node
+	b.WT[i] = o.wtOf[ev.QP]
 }
 
 // lendCapsAt adapts a timeline's per-epoch cap deltas for one VD to the

@@ -149,10 +149,7 @@ func (s *Sim) Run(ctx context.Context, opts Options) (*trace.Dataset, error) {
 	}
 	nVDs := s.runVDs(opts)
 
-	workers := par.Workers(opts.Workers)
-	if workers > nVDs && nVDs > 0 {
-		workers = nVDs
-	}
+	workers := poolSize(opts, nVDs)
 	var streamCfg sketch.Config
 	if opts.Stream != nil {
 		streamCfg = s.streamConfigFor(opts, nVDs)
@@ -217,6 +214,16 @@ func (s *Sim) Run(ctx context.Context, opts Options) (*trace.Dataset, error) {
 		return nil, err
 	}
 	return ds, nil
+}
+
+// poolSize is the worker count of a run over nVDs disks: Options.Workers
+// (0 = one per CPU), never more than there are disks.
+func poolSize(opts Options, nVDs int) int {
+	workers := par.Workers(opts.Workers)
+	if workers > nVDs && nVDs > 0 {
+		workers = nVDs
+	}
+	return workers
 }
 
 // runTail is the post-merge finalization shared by Run and MergeShards:
@@ -386,6 +393,45 @@ func (e *vdEmitter) emit(ev workload.Event) {
 	}
 }
 
+// vdTraffic is one virtual disk's generated traffic: its per-second demand
+// series (the run's scenario's, else the fleet's native one), the chaos
+// storm boost over it, and the event generator that expands the two into
+// IOs. Run and the traffic-only observe pass both take their stream from
+// here, so the traffic they see is one definition.
+type vdTraffic struct {
+	series []workload.Sample
+	boost  func(sec int) float64 // nil outside storms
+
+	s    *Sim
+	opts *Options
+	vd   cluster.VDID
+}
+
+// trafficOf builds vd's series into buf (reused scratch) and its storm boost
+// under sched (nil = no chaos plan).
+func (s *Sim) trafficOf(buf []workload.Sample, vd cluster.VDID, opts *Options, sched *chaos.Schedule) vdTraffic {
+	t := vdTraffic{s: s, opts: opts, vd: vd}
+	if sched != nil {
+		t.boost = sched.VDStormFn(int(vd))
+	}
+	if sc := opts.Scenario; sc != nil {
+		t.series = sc.SeriesInto(buf, vd, opts.DurationSec)
+	} else {
+		t.series = s.fleet.VDSeriesInto(buf, vd, opts.DurationSec)
+	}
+	return t
+}
+
+// generate runs the disk's event generator over the series, calling emit
+// once per generated IO in time order.
+func (t *vdTraffic) generate(emit func(workload.Event)) {
+	if sc := t.opts.Scenario; sc != nil {
+		sc.GenEvents(t.vd, t.series, t.opts.EventSampleEvery, t.boost, emit)
+	} else {
+		t.s.fleet.GenEventsBoostedOver(t.vd, t.series, t.opts.EventSampleEvery, t.boost, emit)
+	}
+}
+
 // simulateVD replays one virtual disk's window into the shard's batch
 // pipeline: throttle replay for queue delay, event generation over the
 // shared traffic series, per-stage latency sampling from the disk-derived
@@ -406,19 +452,12 @@ func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, emission *invarian
 		return s.replayVD(sh, vdID, opts, emission, sched, rs)
 	}
 
-	var boost func(sec int) float64
-	if sched != nil {
-		boost = sched.VDStormFn(vdIdx)
-	}
-
 	// One traffic series feeds both the throttle replay and the event
 	// generator (their RNG streams are independent, so sharing the series
-	// changes no draw). A scenario replaces the fleet's native series.
-	if sc != nil {
-		sh.series = sc.SeriesInto(sh.series, vdID, opts.DurationSec)
-	} else {
-		sh.series = s.fleet.VDSeriesInto(sh.series, vdID, opts.DurationSec)
-	}
+	// changes no draw).
+	tr := s.trafficOf(sh.series, vdID, opts, sched)
+	sh.series = tr.series
+	boost := tr.boost
 
 	// Per-VD throttle replay over the second-granularity series gives
 	// each second's queue delay.
@@ -503,11 +542,7 @@ func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, emission *invarian
 		user:       vm.User,
 		vm:         vm.ID,
 	}
-	if sc != nil {
-		sc.GenEvents(vdID, sh.series, opts.EventSampleEvery, boost, sh.emitFn)
-	} else {
-		s.fleet.GenEventsBoostedOver(vdID, sh.series, opts.EventSampleEvery, boost, sh.emitFn)
-	}
+	tr.generate(sh.emitFn)
 	sh.flush()
 	if sh.sink != nil {
 		// The disk is complete: hand its delta to the sink (which consumes

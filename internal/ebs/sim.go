@@ -88,7 +88,8 @@ type Options struct {
 	// landing penalties, and per-epoch throttle cap deltas, all looked up
 	// without consuming any RNG draw — so an empty timeline is byte-identical
 	// to no timeline. Timelines are produced by control.BuildPlan from an
-	// observe pass; RunControlled orchestrates the two passes. Single-process
+	// Observation; RunControlled orchestrates a traffic-only observe pass,
+	// the plan, and the actuated run that sets this field. Single-process
 	// runs only: RunShard and MergeShards reject it (the control loop is
 	// inherently sequential over epochs). See DESIGN.md, "Mitigation control
 	// plane".
@@ -97,8 +98,11 @@ type Options struct {
 	// (per segment, VD, QP, and worker thread) into the destination during
 	// the run. Counters are commutative per-shard sums, so the merged
 	// observation is worker-count invariant. Create the destination with
-	// control.NewObservation over a shape matching this fleet and the run's
-	// options. Single-process runs only, like Control.
+	// control.NewObservation over ObsShapeFor's shape for this run (any other
+	// shape is rejected). RunControlled does not set it: its own observe pass
+	// is traffic-only and fills the identical observation without a full
+	// run. This field remains the public, reference way to observe a run.
+	// Single-process runs only, like Control.
 	Observe *control.Observation
 	// Scenario, when non-nil, replaces the fleet's native traffic with a
 	// bound scenario from the scenario library: the engine takes the demand

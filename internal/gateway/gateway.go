@@ -450,9 +450,9 @@ func (gw *Gateway) runLocal(j *job) error {
 	var ds *trace.Dataset
 	if j.spec.Control != "" {
 		// Controlled study: the full predict→act loop. The observe pass
-		// runs bare (RunControlled strips stream/snapshot/progress from
-		// it), so the sink and the progress counters see only the
-		// actuated pass the tenant's answer comes from.
+		// is traffic-only and calls no hook (RunControlled's hooks
+		// belong to the actuated pass), so the sink and the progress
+		// counters see only the run the tenant's answer comes from.
 		pol, err := control.ByName(j.spec.Control)
 		if err != nil {
 			return err
